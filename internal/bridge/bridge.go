@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sync"
 
+	"peerhood/internal/clock"
 	"peerhood/internal/device"
 	"peerhood/internal/library"
 	"peerhood/internal/phproto"
@@ -256,22 +257,10 @@ func (s *Service) handle(conn plugin.Conn, hello *phproto.HelloBridge, via plugi
 		return
 	}
 
-	// Chain is up: propagate the acknowledgement to the requester
-	// (fig 4.3's connection acknowledgement). A resume relays the
-	// endpoint's PH_RESUME_ACK position instead.
-	var ackMsg phproto.Message = &phproto.Ack{OK: true}
-	if resume {
-		ackMsg = &phproto.ResumeAck{OK: true, RecvSeq: peerRecv}
-	}
-	if err := phproto.Write(conn, ackMsg); err != nil {
-		_ = conn.Close()
-		_ = out.Close()
-		s.mu.Lock()
-		s.stats.ChainsFailed++
-		s.mu.Unlock()
-		return
-	}
-
+	// Chain is up. Register the pair before acknowledging: once the
+	// requester reads the ack it may count on the relay, so ActivePairs
+	// and LoadPenalty must already include it. A failed ack write rolls
+	// the registration back.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -282,6 +271,31 @@ func (s *Service) handle(conn plugin.Conn, hello *phproto.HelloBridge, via plugi
 	s.nextID++
 	p := &pair{id: s.nextID, in: conn, out: out}
 	s.pairs[p.id] = p
+	s.mu.Unlock()
+
+	// Propagate the acknowledgement to the requester (fig 4.3's
+	// connection acknowledgement). A resume relays the endpoint's
+	// PH_RESUME_ACK position instead.
+	var ackMsg phproto.Message = &phproto.Ack{OK: true}
+	if resume {
+		ackMsg = &phproto.ResumeAck{OK: true, RecvSeq: peerRecv}
+	}
+	if err := phproto.Write(conn, ackMsg); err != nil {
+		s.mu.Lock()
+		delete(s.pairs, p.id)
+		s.stats.ChainsFailed++
+		s.mu.Unlock()
+		_ = conn.Close()
+		_ = out.Close()
+		return
+	}
+
+	s.mu.Lock()
+	if s.closed {
+		// Close ran after the registration and has closed both legs.
+		s.mu.Unlock()
+		return
+	}
 	s.stats.ChainsEstablished++
 	// Add while still holding s.mu with closed re-checked above: once
 	// Close has set closed under this lock it may already be past
@@ -292,8 +306,9 @@ func (s *Service) handle(conn plugin.Conn, hello *phproto.HelloBridge, via plugi
 
 	// Two pumps per pair (the even/odd directions of fig 4.4). The first
 	// failure in either direction tears the pair down.
-	go s.pump(p, p.in, p.out)
-	go s.pump(p, p.out, p.in)
+	clk := s.lib.Clock()
+	clock.Go(clk, func() { s.pump(p, p.in, p.out) })
+	clock.Go(clk, func() { s.pump(p, p.out, p.in) })
 }
 
 // pump relays bytes from src to dst until either side dies. "After the

@@ -102,6 +102,31 @@ func TestSingleBridgeChain(t *testing.T) {
 	}
 }
 
+// TestPairCountedWhenConnectReturns pins that a relay registers its pair
+// before it acknowledges the chain: once the requester's Connect returns,
+// ActivePairs and LoadPenalty already count the relay, before any byte
+// has crossed it. A discovery fetch from the relay right after the
+// connect therefore sees it loaded.
+func TestPairCountedWhenConnectReturns(t *testing.T) {
+	nodes := lineWorld(t, 1, 3)
+	a, b, c := nodes[0], nodes[1], nodes[2]
+
+	vc, err := a.Lib.Connect(c.Addr(), "echo")
+	if err != nil {
+		t.Fatalf("bridged Connect: %v", err)
+	}
+	defer vc.Close()
+	if vc.Bridge() != b.Addr() {
+		t.Fatalf("vc.Bridge() = %v, want B", vc.Bridge())
+	}
+	if got := b.Bridge.ActivePairs(); got != 1 {
+		t.Fatalf("B active pairs right after Connect = %d, want 1", got)
+	}
+	if b.Bridge.LoadPenalty() == 0 {
+		t.Fatal("B advertises no load penalty for an acknowledged chain")
+	}
+}
+
 // TestMultiHopChain reproduces fig 4.1's A-B-C-E chain: two bridges.
 func TestMultiHopChain(t *testing.T) {
 	nodes := lineWorld(t, 2, 5)

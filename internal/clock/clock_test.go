@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -249,4 +250,71 @@ func TestManualEqualDeadlinesFireInRegistrationOrder(t *testing.T) {
 	// no deadlock/panic with equal deadlines.
 	<-first
 	<-second
+}
+
+func TestManualSettleWaitsForWokenSleeper(t *testing.T) {
+	m := NewManual()
+	var stage atomic.Int32
+	Go(m, func() {
+		m.Sleep(time.Second)
+		stage.Store(1)
+		m.Sleep(time.Second)
+		stage.Store(2)
+	})
+	for want := int32(0); want <= 2; want++ {
+		if want > 0 {
+			m.Advance(time.Second)
+		}
+		m.Settle()
+		if got := stage.Load(); got != want {
+			t.Fatalf("after %d advances and Settle: stage %d, want %d", want, got, want)
+		}
+	}
+	m.Settle() // the goroutine has returned: nothing is busy
+}
+
+func TestWaitParksAndWakesExactlyOnce(t *testing.T) {
+	m := NewManual()
+	busy := func() int {
+		m.qmu.Lock()
+		defer m.qmu.Unlock()
+		return m.busy
+	}
+	w := NewWait(m)
+	w.Park()
+	w.Park()
+	if got := busy(); got != -1 {
+		t.Fatalf("busy after Park = %d, want -1", got)
+	}
+	w.Wake()
+	w.Wake()
+	if got := busy(); got != 0 {
+		t.Fatalf("busy after Wake = %d, want 0", got)
+	}
+
+	// A wait that ended before its goroutine parked never parks it.
+	early := NewWait(m)
+	early.Wake()
+	early.Park()
+	if got := busy(); got != 0 {
+		t.Fatalf("busy after Wake-then-Park = %d, want 0", got)
+	}
+
+	// A timer wakes its wait as it fires.
+	timed := NewWait(m)
+	ch := AfterWait(m, time.Second, timed)
+	timed.Park()
+	m.Advance(time.Second)
+	<-ch
+	if got := busy(); got != 0 {
+		t.Fatalf("busy after the timer fired = %d, want 0", got)
+	}
+
+	// Other clocks have no waits; the nil Wait is inert.
+	none := NewWait(Real())
+	if none != nil {
+		t.Fatal("NewWait(Real()) is not nil")
+	}
+	none.Park()
+	none.Wake()
 }

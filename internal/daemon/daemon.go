@@ -341,7 +341,7 @@ func (d *Daemon) Start(autoDiscover bool) error {
 		d.listeners = append(d.listeners, l)
 		d.mu.Unlock()
 		d.wg.Add(1)
-		go d.acceptLoop(p, l)
+		clock.Go(d.clk, func() { d.acceptLoop(p, l) })
 
 		disc := discovery.New(discovery.Config{
 			Store:                d.store,
@@ -430,13 +430,13 @@ func (d *Daemon) acceptLoop(p plugin.Plugin, l plugin.Listener) {
 		d.mu.Unlock()
 
 		d.wg.Add(1)
-		go func() {
+		clock.Go(d.clk, func() {
 			defer d.wg.Done()
 			d.serveInfo(p, conn)
 			d.mu.Lock()
 			delete(d.conns, conn)
 			d.mu.Unlock()
-		}()
+		})
 	}
 }
 

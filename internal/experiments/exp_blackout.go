@@ -20,11 +20,14 @@ import (
 // blackouts (one swallowing the commuter's own neighbourhood, one taking
 // the server end dark), and a relay crash/restart (fresh storage epoch,
 // forcing peers through the full-resync fallback). Unlike S3's scaled
-// clock, S4 runs on a manual clock with every component stepped
-// synchronously from one goroutine, so a run is a pure function of its
-// seed: two invocations produce byte-identical metrics and fault traces —
-// the reproducibility property the OMNeT++ mobility literature argues
-// simulator-level impairment models exist to provide.
+// clock, S4 runs on a manual clock, stepped from one driver goroutine
+// that settles the world after every step: the nodes' own goroutines
+// (accept loops, info responders, service handlers, relay pumps) finish
+// reacting to a step before the next one starts. A run is therefore a
+// pure function of its seed: two invocations produce byte-identical
+// metrics and fault traces — the reproducibility property the OMNeT++
+// mobility literature argues simulator-level impairment models exist to
+// provide.
 //
 // Reported per handover mode (reactive vs predictive): handovers and the
 // predictive share, spurious handovers, sender-observed disruption time,
@@ -106,9 +109,11 @@ type blackoutStats struct {
 }
 
 // blackoutTrial runs one deterministic corridor traversal under the S4
-// fault script. Everything — discovery rounds, handover steps, stream
-// writes, fault events — is driven synchronously from this goroutine
-// between manual clock advances; no component runs on a background timer.
+// fault script. Every step — clock advance, fault events, link check,
+// discovery rounds, stream write, handover step — is driven from this
+// goroutine, and the world settles after each one (World.Settle), so the
+// node goroutines a step wakes have all parked again before the next
+// step reads or changes the state. No component runs on its own timer.
 func blackoutTrial(cfg Config, seed int64, predictive bool) (blackoutStats, error) {
 	const (
 		tick     = 200 * time.Millisecond
@@ -132,8 +137,8 @@ func blackoutTrial(cfg Config, seed int64, predictive bool) (blackoutStats, erro
 	p.DiscoveryCycle = time.Second
 	// Re-arm the two stochastic knobs that cost no simulated time: dial
 	// faults and inquiry misses. They draw from the world's seeded rng in
-	// a fixed order (everything runs on one goroutine), so different
-	// seeds see different fault luck while the same seed replays exactly.
+	// a fixed order (steps are settled one at a time), so different seeds
+	// see different fault luck while the same seed replays exactly.
 	p.FaultProb = 0.03
 	p.ResponseProb = 0.97
 	w.Sim().SetParams(device.TechBluetooth, p)
@@ -185,6 +190,7 @@ func blackoutTrial(cfg Config, seed int64, predictive bool) (blackoutStats, erro
 		return blackoutStats{}, fmt.Errorf("initial connect: %w", err)
 	}
 	defer conn.Close()
+	w.Settle()
 
 	th, err := commuter.MonitorHandover(conn, peerhood.HandoverConfig{
 		Interval:         tick,
@@ -253,22 +259,29 @@ func blackoutTrial(cfg Config, seed int64, predictive bool) (blackoutStats, erro
 	ticks := int(total / tick)
 	for i := 0; i < ticks; i++ {
 		clk.Advance(tick)
+		w.Settle()
 		run.ApplyDue()
+		w.Settle()
 		w.CheckLinks()
+		w.Settle()
 		if clk.Since(start) == walkOut {
 			commuter.SetModel(peerhood.Walk(peerhood.Pt(22, 0.5), peerhood.Pt(1, 0.5), 1.4))
 		}
 		if i%5 == 0 { // commuter discovers every simulated second
 			commuter.Daemon().RunDiscoveryRound()
+			w.Settle()
 		}
 		if i%10 == 0 { // the backbone refreshes every two seconds
 			for _, n := range backbone {
 				n.Daemon().RunDiscoveryRound()
+				w.Settle()
 			}
 		}
 		if walking := clk.Since(start) <= 2*walkOut; walking {
 			st.sent++
-			if _, werr := conn.Write(msg); werr != nil {
+			_, werr := conn.Write(msg)
+			w.Settle()
+			if werr != nil {
 				st.lost++
 				if !inOutage {
 					inOutage, outageStart = true, clk.Now()
@@ -279,6 +292,7 @@ func blackoutTrial(cfg Config, seed int64, predictive bool) (blackoutStats, erro
 			}
 		}
 		th.Step()
+		w.Settle()
 		drain()
 	}
 	// An outage still open when the stream stops is credited only up to

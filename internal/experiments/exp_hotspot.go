@@ -307,6 +307,7 @@ func hotspotTrial(cfg Config, seed int64, mode hotspotMode) (hotspotStats, error
 		return hotspotStats{}, fmt.Errorf("initial connect: %w", err)
 	}
 	defer conn.Close()
+	w.Settle()
 
 	th, err := commuter.MonitorHandover(conn, peerhood.HandoverConfig{
 		Interval:         tick,
@@ -353,15 +354,22 @@ func hotspotTrial(cfg Config, seed int64, mode hotspotMode) (hotspotStats, error
 	var outageStart time.Time
 	inOutage := false
 	ticks := int(total / tick)
+	// Every step is settled before the next (the S4 convention): the
+	// nodes' goroutines finish reacting to it, so the run replays
+	// identically from the seed.
 	for i := 0; i < ticks; i++ {
 		clk.Advance(tick)
+		w.Settle()
 		w.CheckLinks()
+		w.Settle()
 		if i%5 == 0 { // commuter discovers every simulated second
 			commuter.RunDiscoveryRound()
+			w.Settle()
 		}
 		if i%10 == 0 { // the backbone refreshes every two seconds
 			for _, n := range backbone {
 				n.RunDiscoveryRound()
+				w.Settle()
 			}
 		}
 		if clk.Since(start) <= walkDur {
@@ -375,7 +383,9 @@ func hotspotTrial(cfg Config, seed int64, mode hotspotMode) (hotspotStats, error
 					msg[j] = byte(msgIdx % 251)
 				}
 			}
-			if _, werr := conn.Write(msg); werr != nil {
+			_, werr := conn.Write(msg)
+			w.Settle()
+			if werr != nil {
 				st.lost++
 				if !inOutage {
 					inOutage, outageStart = true, clk.Now()
@@ -393,6 +403,7 @@ func hotspotTrial(cfg Config, seed int64, mode hotspotMode) (hotspotStats, error
 			}
 		}
 		th.Step()
+		w.Settle()
 		drain()
 	}
 	// An outage still open when the stream stops is credited only up to the

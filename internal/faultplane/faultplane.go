@@ -236,7 +236,7 @@ func (r *Run) Play() error {
 // Go runs Play on its own goroutine and delivers its result.
 func (r *Run) Go() <-chan error {
 	ch := make(chan error, 1)
-	go func() { ch <- r.Play() }()
+	clock.Go(r.p.clk, func() { ch <- r.Play() })
 	return ch
 }
 

@@ -3,6 +3,7 @@ package library
 import (
 	"sync"
 
+	"peerhood/internal/clock"
 	"peerhood/internal/device"
 	"peerhood/internal/plugin"
 	"peerhood/internal/record"
@@ -42,7 +43,8 @@ type continuityState struct {
 	rr    *record.RecordReader
 
 	mu      sync.Mutex
-	cond    *sync.Cond // signalled after every pulled record and on close
+	cond    *sync.Cond     // signalled after every pulled record and on close
+	parked  clock.WaitList // cond waiters, for the manual clock's Settle
 	send    *record.SendWindow
 	recv    *record.RecvWindow
 	pending []byte // delivered in-order, not yet read by the application
@@ -98,6 +100,7 @@ func (vc *VirtualConnection) enableContinuity(token uint64, windowBytes int) {
 		recv:  record.NewRecvWindow(),
 	}
 	ct.cond = sync.NewCond(&ct.mu)
+	ct.parked = clock.NewWaitList(vc.lib.Clock())
 	ct.rr = record.NewRecordReader(contReader{vc})
 	vc.cont = ct
 }
@@ -235,12 +238,20 @@ func (vc *VirtualConnection) contRead(p []byte) (int, error) {
 	}
 }
 
+// broadcastLocked wakes every goroutine waiting on ct.cond. Callers hold
+// ct.mu.
+func (ct *continuityState) broadcastLocked() {
+	ct.parked.WakeAll()
+	ct.cond.Broadcast()
+}
+
 // contPullStep advances the shared pull state by one record: become the
 // puller if the slot is free, otherwise wait for the active puller's next
 // record. Callers hold ct.mu on entry; it is released on return.
 func (vc *VirtualConnection) contPullStep() error {
 	ct := vc.cont
 	if ct.reading {
+		ct.parked.Park()
 		ct.cond.Wait()
 		ct.mu.Unlock()
 		return nil
@@ -250,7 +261,7 @@ func (vc *VirtualConnection) contPullStep() error {
 	err := vc.contPullOnce()
 	ct.mu.Lock()
 	ct.reading = false
-	ct.cond.Broadcast()
+	ct.broadcastLocked()
 	ct.mu.Unlock()
 	return err
 }
@@ -312,7 +323,7 @@ func (vc *VirtualConnection) contPullOnce() error {
 		wantAck = true
 	}
 	ackSeq := ct.recv.AckSeq()
-	ct.cond.Broadcast()
+	ct.broadcastLocked()
 	ct.mu.Unlock()
 	if wantAck {
 		// Ack write failures are swallowed: a lost ack is repaired by the

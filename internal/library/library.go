@@ -203,7 +203,7 @@ func (l *Library) Start() error {
 		l.engines = append(l.engines, ln)
 		l.mu.Unlock()
 		l.wg.Add(1)
-		go l.acceptLoop(p, ln)
+		clock.Go(l.clk, func() { l.acceptLoop(p, ln) })
 	}
 	return nil
 }
@@ -620,10 +620,10 @@ func (l *Library) acceptLoop(p plugin.Plugin, ln plugin.Listener) {
 			return
 		}
 		l.wg.Add(1)
-		go func() {
+		clock.Go(l.clk, func() {
 			defer l.wg.Done()
 			l.handleIncoming(p, conn)
-		}()
+		})
 	}
 }
 
@@ -849,10 +849,10 @@ func (l *Library) handleHelloNew(conn plugin.Conn, m *phproto.HelloNew) {
 		Client:    m.Client,
 	}
 	l.wg.Add(1)
-	go func() {
+	clock.Go(l.clk, func() {
 		defer l.wg.Done()
 		entry.h(vc, meta)
-	}()
+	})
 }
 
 // handleReconnect re-attaches an incoming transport to the logical

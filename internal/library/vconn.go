@@ -4,6 +4,7 @@ import (
 	"io"
 	"sync"
 
+	"peerhood/internal/clock"
 	"peerhood/internal/device"
 	"peerhood/internal/plugin"
 )
@@ -31,6 +32,11 @@ type VirtualConnection struct {
 	onSwap   func(oldRemote, newRemote device.Addr)
 	swapped  int // total successful swaps, for experiments
 	restarts int // service reconnections (§5.2.2)
+
+	// swapWaits are the clock Waits of goroutines in awaitSwap, woken by
+	// the next swap or Close (the manual clock's Settle accounting).
+	// Guarded by mu.
+	swapWaits []*clock.Wait
 
 	// cont, when non-nil, is the session-continuity window layer
 	// (continuity.go): Read/Write go through sequence-numbered records and
@@ -174,6 +180,7 @@ func (vc *VirtualConnection) SwapRoute(newConn plugin.Conn, bridge device.Addr) 
 	vc.bridge = bridge
 	vc.gen++
 	vc.swapped++
+	vc.wakeSwapWaitsLocked()
 	close(vc.genCh)
 	vc.genCh = make(chan struct{})
 	cb := vc.onSwap
@@ -279,6 +286,7 @@ func (vc *VirtualConnection) Close() error {
 		return nil
 	}
 	vc.closed = true
+	vc.wakeSwapWaitsLocked()
 	close(vc.closeCh)
 	c := vc.cur
 	vc.mu.Unlock()
@@ -287,7 +295,7 @@ func (vc *VirtualConnection) Close() error {
 		// Wake continuity waiters blocked on the pull condition so they
 		// observe the close.
 		ct.mu.Lock()
-		ct.cond.Broadcast()
+		ct.broadcastLocked()
 		ct.mu.Unlock()
 	}
 	vc.lib.unregister(vc)
@@ -311,15 +319,35 @@ func (vc *VirtualConnection) shouldAwaitSwap() bool {
 
 // awaitSwap blocks until the generation advances past gen, the connection
 // closes, or SwapWait elapses. It reports whether a retry is warranted.
+// The wait is parked on a manual clock: the swap, the close, and the
+// timeout each wake it.
 func (vc *VirtualConnection) awaitSwap(gen int, genCh chan struct{}) bool {
+	clk := vc.lib.Clock()
+	w := clock.NewWait(clk)
+	timeout := clock.AfterWait(clk, vc.lib.SwapWait(), w)
+	vc.mu.Lock()
+	if w != nil && vc.gen == gen && !vc.closed {
+		vc.swapWaits = append(vc.swapWaits, w)
+		w.Park()
+	}
+	vc.mu.Unlock()
 	select {
 	case <-genCh:
 		return true
 	case <-vc.closeCh:
 		return false
-	case <-vc.lib.Clock().After(vc.lib.SwapWait()):
+	case <-timeout:
 		return false
 	}
+}
+
+// wakeSwapWaitsLocked wakes every awaitSwap caller; callers hold vc.mu and
+// are about to release them by closing genCh or closeCh.
+func (vc *VirtualConnection) wakeSwapWaitsLocked() {
+	for _, w := range vc.swapWaits {
+		w.Wake()
+	}
+	vc.swapWaits = nil
 }
 
 var _ io.ReadWriteCloser = (*VirtualConnection)(nil)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"peerhood/internal/clock"
 	"peerhood/internal/device"
 	"peerhood/internal/rng"
 )
@@ -30,8 +31,8 @@ func newLink(w *World, id int64, ra, rb *Radio, bandwidth float64) *link {
 	lk.a = &Conn{link: lk, local: ra, remote: rb}
 	lk.b = &Conn{link: lk, local: rb, remote: ra}
 	lk.a.peer, lk.b.peer = lk.b, lk.a
-	lk.a.rd.init()
-	lk.b.rd.init()
+	lk.a.rd.init(w.clk)
+	lk.b.rd.init(w.clk)
 	return lk
 }
 
@@ -225,14 +226,22 @@ func (c *Conn) Break() { c.link.breakWith(ErrLinkLost) }
 type pipe struct {
 	mu          sync.Mutex
 	cond        *sync.Cond
+	parked      clock.WaitList
 	buf         []byte
 	writeClosed bool  // peer closed: EOF after drain
 	localClosed bool  // this endpoint closed: reads fail ErrClosed
 	err         error // link broke: reads fail immediately
 }
 
-func (p *pipe) init() {
+func (p *pipe) init(clk clock.Clock) {
 	p.cond = sync.NewCond(&p.mu)
+	p.parked = clock.NewWaitList(clk)
+}
+
+// signal wakes every blocked reader. Callers hold p.mu.
+func (p *pipe) signal() {
+	p.parked.WakeAll()
+	p.cond.Broadcast()
 }
 
 func (p *pipe) write(b []byte) error {
@@ -245,7 +254,7 @@ func (p *pipe) write(b []byte) error {
 		return ErrClosed
 	}
 	p.buf = append(p.buf, b...)
-	p.cond.Broadcast()
+	p.signal()
 	return nil
 }
 
@@ -270,6 +279,7 @@ func (p *pipe) read(b []byte) (int, error) {
 		if p.writeClosed {
 			return 0, io.EOF
 		}
+		p.parked.Park()
 		p.cond.Wait()
 	}
 }
@@ -280,7 +290,7 @@ func (p *pipe) fail(err error) {
 	p.mu.Lock()
 	p.err = err
 	p.buf = nil
-	p.cond.Broadcast()
+	p.signal()
 	p.mu.Unlock()
 }
 
@@ -288,7 +298,7 @@ func (p *pipe) fail(err error) {
 func (p *pipe) closeWrite() {
 	p.mu.Lock()
 	p.writeClosed = true
-	p.cond.Broadcast()
+	p.signal()
 	p.mu.Unlock()
 }
 
@@ -297,7 +307,7 @@ func (p *pipe) closeLocal() {
 	p.mu.Lock()
 	p.localClosed = true
 	p.buf = nil
-	p.cond.Broadcast()
+	p.signal()
 	p.mu.Unlock()
 }
 

@@ -252,8 +252,10 @@ func (w *ShardedWorld) Dial(from, to NodeID, tech device.Tech, port uint16) (*Sh
 	ca := &ShardConn{w: w, key: key, local: from, remote: to}
 	cb := &ShardConn{w: w, key: key, local: to, remote: from}
 	ca.peer, cb.peer = cb, ca
-	ca.rd.init()
-	cb.rd.init()
+	// The sharded world keeps its own superstep time, not a clock, so its
+	// pipes have no Settle accounting.
+	ca.rd.init(nil)
+	cb.rd.init(nil)
 	if w.conns == nil {
 		w.conns = make(map[shardLinkKey][]*ShardConn)
 	}

@@ -583,23 +583,21 @@ func qualityAt(dist float64, p TechParams, noise float64, src *rng.Source) int {
 
 // Listener accepts incoming connections on one (radio, port).
 type Listener struct {
-	w      *World
-	key    listenKey
-	accept chan *Conn
-	closed chan struct{}
+	w   *World
+	key listenKey
 
-	closeOnce sync.Once
+	mu      sync.Mutex
+	cond    *sync.Cond
+	parked  clock.WaitList // blocked Accept and backlog-full Dial callers
+	backlog []*Conn        // dialed, not yet accepted; at most acceptBacklog
+	closed  bool
 }
 
 // Listen starts accepting connections on the given port of this radio.
 func (r *Radio) Listen(port uint16) (*Listener, error) {
 	key := listenKey{addr: r.addr, port: port}
-	l := &Listener{
-		w:      r.w,
-		key:    key,
-		accept: make(chan *Conn, acceptBacklog),
-		closed: make(chan struct{}),
-	}
+	l := &Listener{w: r.w, key: key, parked: clock.NewWaitList(r.w.clk)}
+	l.cond = sync.NewCond(&l.mu)
 	r.w.mu.Lock()
 	defer r.w.mu.Unlock()
 	if _, dup := r.w.listeners[key]; dup {
@@ -611,30 +609,67 @@ func (r *Radio) Listen(port uint16) (*Listener, error) {
 
 // Accept blocks until a connection arrives or the listener closes.
 func (l *Listener) Accept() (*Conn, error) {
-	select {
-	case c := <-l.accept:
-		return c, nil
-	case <-l.closed:
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for len(l.backlog) == 0 && !l.closed {
+		l.parked.Park()
+		l.cond.Wait()
+	}
+	if l.closed {
 		return nil, ErrClosed
 	}
+	c := l.backlog[0]
+	l.backlog = l.backlog[1:]
+	l.signal() // a backlog slot opened for a blocked dialer
+	return c, nil
+}
+
+// enqueue hands a dialed server endpoint to the listener. The backlog
+// models a TCP accept queue: once it is full the dialer blocks until the
+// server accepts or the listener closes, like a saturated SYN queue. It
+// reports false if the listener closed first.
+func (l *Listener) enqueue(c *Conn) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for len(l.backlog) >= acceptBacklog && !l.closed {
+		l.parked.Park()
+		l.cond.Wait()
+	}
+	if l.closed {
+		return false
+	}
+	l.backlog = append(l.backlog, c)
+	l.signal()
+	return true
+}
+
+// signal wakes every blocked Accept and enqueue. Callers hold l.mu.
+func (l *Listener) signal() {
+	l.parked.WakeAll()
+	l.cond.Broadcast()
 }
 
 // Close stops the listener. Pending un-accepted connections are broken.
 func (l *Listener) Close() error {
-	l.closeOnce.Do(func() {
-		l.w.mu.Lock()
+	l.w.mu.Lock()
+	if l.w.listeners[l.key] == l {
 		delete(l.w.listeners, l.key)
-		l.w.mu.Unlock()
-		close(l.closed)
-		for {
-			select {
-			case c := <-l.accept:
-				c.link.breakWith(ErrRefused)
-			default:
-				return
-			}
-		}
-	})
+	}
+	l.w.mu.Unlock()
+
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return nil
+	}
+	l.closed = true
+	pending := l.backlog
+	l.backlog = nil
+	l.signal()
+	l.mu.Unlock()
+	for _, c := range pending {
+		c.link.breakWith(ErrRefused)
+	}
 	return nil
 }
 
@@ -727,12 +762,7 @@ func (r *Radio) Dial(to device.Addr, port uint16) (*Conn, error) {
 	w.tDialsOK.Inc()
 	w.mu.Unlock()
 
-	// Hand the server endpoint to the listener. The buffered channel models
-	// an accept backlog; once it is full the dialer blocks until the server
-	// accepts or the listener closes, like a saturated TCP SYN queue.
-	select {
-	case l.accept <- lk.b:
-	case <-l.closed:
+	if !l.enqueue(lk.b) {
 		lk.breakWith(ErrRefused)
 		w.mu.Lock()
 		w.stats.DialsRefused++
@@ -814,6 +844,27 @@ func (w *World) StartAutoCheck(interval time.Duration) {
 			}
 		}
 	}()
+}
+
+// Settle blocks until the world is quiescent: every goroutine started
+// through clock.Go on the world's clock — the accept loops, responders,
+// service handlers and relay pumps of the daemons, libraries and bridges
+// on it — has returned or is parked, blocked on a Conn read, a Listener
+// Accept, a dial into a full accept backlog, the manual clock, or a
+// virtual connection's swap wait. A driver stepping a manual-clock world
+// calls it after every step, so each step's effects (relay teardown after
+// a link break, acknowledged chains, reconnect swaps) have all landed
+// before the next step reads the state, whatever the scheduler did.
+//
+// The decision comes from the clock's Go/Park/Wake accounting alone,
+// never from wall-clock time. Autonomous timer loops (AutoDiscover,
+// StartAutoCheck, a handover thread's own ticker) are outside it: a
+// settled run steps those components itself. On a clock other than
+// clock.Manual nothing is tracked and Settle returns at once.
+func (w *World) Settle() {
+	if m, ok := w.clk.(*clock.Manual); ok {
+		m.Settle()
+	}
 }
 
 // Close stops the auto-checker (if running) and breaks every live link.

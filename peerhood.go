@@ -290,20 +290,30 @@ func (w *World) Clock() clock.Clock { return w.clk }
 // CheckLinks breaks links whose endpoints left mutual coverage.
 func (w *World) CheckLinks() int { return w.sim.CheckLinks() }
 
+// Settle blocks until every goroutine of the world's nodes is parked or
+// gone (see simnet.World.Settle): the barrier a manual-clock driver calls
+// after each step so a scenario replays identically from its seed. It
+// returns at once on real and scaled clocks.
+func (w *World) Settle() { w.sim.Settle() }
+
 // GridStats snapshots the world's per-technology spatial radio index
 // (occupancy, refresh counts) — the structure that makes neighbour lookup
 // O(cell occupancy) instead of O(world size).
 func (w *World) GridStats() []simnet.GridStats { return w.sim.GridStats() }
 
 // RunDiscoveryRounds drives n synchronous discovery rounds on every node
-// in creation order; n rounds propagate awareness n jumps (fig 3.10).
+// in creation order; n rounds propagate awareness n jumps (fig 3.10). The
+// world settles before the first round and after each node's round, so on
+// a manual clock the rounds replay identically from the seed.
 func (w *World) RunDiscoveryRounds(n int) {
 	w.mu.Lock()
 	nodes := append([]*Node(nil), w.nodes...)
 	w.mu.Unlock()
+	w.sim.Settle()
 	for i := 0; i < n; i++ {
 		for _, node := range nodes {
 			node.RunDiscoveryRound()
+			w.sim.Settle()
 		}
 	}
 }
